@@ -35,7 +35,7 @@ from ..engine.api import replicate_jobs, run_ensemble
 from ..engine.cache import model_blob, worker_model_from_blob
 from ..engine.executors import get_executor
 from ..engine.jobs import EnsembleStats
-from ..engine.spec import StudySpec, canonical_workers
+from ..engine.spec import StudySpec
 from ..errors import AnalysisError, EngineError
 from ..gates.circuits import GeneticCircuit
 from ..logic.truthtable import TruthTable
@@ -283,8 +283,6 @@ def run_replicate_study(
     progress=None,
     analysis_jobs: Optional[int] = None,
     batch_size: Optional[int] = None,
-    *,
-    jobs: Optional[int] = None,
 ) -> ReplicateStudy:
     """Run ``n_replicates`` independent experiments and aggregate the analyses.
 
@@ -295,8 +293,7 @@ def run_replicate_study(
     ``n_replicates=5``, ``threshold=15.0``, ``fov_ud=0.25``,
     ``hold_time=200.0``, ``repeats=1``, ``simulator="ssa"``) is a shim that
     constructs the same spec, so both forms execute identically, bit for
-    bit.  ``workers`` is the canonical concurrency keyword (``jobs=`` is a
-    deprecated alias that warns).
+    bit.
 
     The replicate simulations are submitted as one batch to the ensemble
     engine: ``workers=N`` runs them on ``N`` worker processes, with
@@ -321,9 +318,6 @@ def run_replicate_study(
     per worker call — same trajectories, same analyses, less dispatch and
     result-transport overhead per replicate.
     """
-    workers = canonical_workers(workers, jobs, default=1) if (
-        workers is not None or jobs is not None
-    ) else None
     spec = _as_study_spec(
         circuit,
         n_replicates=n_replicates,
@@ -418,8 +412,6 @@ async def arun_replicate_study(
     progress=None,
     analysis_jobs: Optional[int] = None,
     batch_size: Optional[int] = None,
-    *,
-    jobs: Optional[int] = None,
 ) -> ReplicateStudy:
     """Async entry point: :func:`run_replicate_study` off the event loop.
 
@@ -428,8 +420,8 @@ async def arun_replicate_study(
     handler running one study per request — never stalls its loop while the
     simulations execute.  Mirrors the signature of
     :func:`run_replicate_study` exactly (same canonical
-    :class:`~repro.engine.StudySpec` form, same legacy keyword shim, same
-    deprecated ``jobs=`` alias); pass ``executor=`` (e.g. the shared pool of
+    :class:`~repro.engine.StudySpec` form, same legacy keyword shim); pass
+    ``executor=`` (e.g. the shared pool of
     :func:`repro.engine.gather_studies` or the HTTP service's warm executor)
     to multiplex many concurrent studies over one worker pool.
     """
@@ -448,5 +440,4 @@ async def arun_replicate_study(
         progress=progress,
         analysis_jobs=analysis_jobs,
         batch_size=batch_size,
-        jobs=jobs,
     )

@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.analyzer import LogicAnalyzer
-from ..engine.spec import canonical_workers
 from ..errors import AnalysisError
 from ..logic.truthtable import TruthTable
 from ..stochastic.rng import RandomState, fan_out_seeds, make_rng
@@ -122,11 +121,9 @@ def measure_analysis_runtime(
     fov_ud: float = 0.25,
     repeats: int = 3,
     rng: RandomState = None,
-    workers: Optional[int] = None,
+    workers: int = 1,
     progress=None,
     executor=None,
-    *,
-    jobs: Optional[int] = None,
 ) -> List[RuntimeMeasurement]:
     """Time the analyzer over a range of trace sizes.
 
@@ -138,10 +135,9 @@ def measure_analysis_runtime(
     ``workers=1`` when absolute numbers matter.  An explicit ``executor``
     (e.g. a :class:`~repro.engine.DistributedEnsembleExecutor` behind the
     CLI's ``--dispatch``) overrides ``workers`` and stays open for the
-    caller.  ``jobs=`` is a deprecated alias for ``workers=``.  ``progress``
-    is called after each measured size with ``(done, total, size_index)``.
+    caller.  ``progress`` is called after each measured size with
+    ``(done, total, size_index)``.
     """
-    workers = canonical_workers(workers, jobs, default=1)
     if repeats < 1:
         raise AnalysisError("repeats must be at least 1")
     if executor is not None or workers > 1:

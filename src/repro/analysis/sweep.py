@@ -22,7 +22,6 @@ from typing import List, Optional, Sequence
 
 from ..core.analyzer import LogicAnalysisResult, LogicAnalyzer
 from ..engine.api import run_ensemble
-from ..engine.spec import canonical_workers
 from ..errors import AnalysisError
 from ..gates.circuits import GeneticCircuit
 from ..logic.compare import LogicComparison
@@ -78,11 +77,9 @@ def threshold_sweep(
     fov_ud: float = 0.25,
     input_high_equals_threshold: bool = True,
     input_high: Optional[float] = None,
-    workers: Optional[int] = None,
+    workers: int = 1,
     executor=None,
     progress=None,
-    *,
-    jobs: Optional[int] = None,
 ) -> List[ThresholdSweepEntry]:
     """Analyse ``circuit`` once per threshold value.
 
@@ -94,13 +91,12 @@ def threshold_sweep(
     All per-threshold simulations are submitted as one batch to the ensemble
     engine (compiling the circuit model once for the whole sweep);
     ``workers=N`` runs them on ``N`` worker processes with results identical
-    to the serial path (``jobs=`` is a deprecated alias).  Each run is
-    analyzed as it completes and its trajectory discarded, so the sweep never
-    materializes more than the executor's in-flight window.  An opened
+    to the serial path.  Each run is analyzed as it completes and its
+    trajectory discarded, so the sweep never materializes more than the
+    executor's in-flight window.  An opened
     ``executor`` is reused (and left open) so several sweeps can share one
     warm worker pool.
     """
-    workers = canonical_workers(workers, jobs, default=1)
     thresholds = list(thresholds)
     if not thresholds:
         raise AnalysisError("threshold_sweep needs at least one threshold value")

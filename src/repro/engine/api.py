@@ -199,15 +199,11 @@ def _batch_stats(
     The engine's own executors count each batch's cache hits/misses into a
     per-batch ``counter``, so concurrent batches on one shared executor (the
     :func:`repro.engine.gather_studies` pattern) report their own numbers.
-    Third-party executors fall back to the legacy executor-global snapshot
-    (``last_cache_hits``) or, failing that, the in-process cache delta.
+    Third-party executors fall back to the in-process cache delta.
     """
     if counter is not None:
         cache_hits = counter.hits
         cache_misses = counter.misses
-    elif hasattr(chosen, "last_cache_hits"):
-        cache_hits = chosen.last_cache_hits
-        cache_misses = chosen.last_cache_misses
     else:
         cache_hits = cache.hits - hits_before
         cache_misses = cache.misses - misses_before

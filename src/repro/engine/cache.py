@@ -22,7 +22,7 @@ jobs (see :mod:`repro.stochastic.codegen`).  A worker's first compile of a
 model then ``exec``'s one shipped module instead of re-parsing and
 re-compiling every kinetic-law AST — the parent generates and byte-compiles
 each kernel once (:func:`kernel_artifact_for_blob`, content-memoized) and
-every worker reuses it, which is what makes ``jobs=N`` cold starts cheap on
+every worker reuses it, which is what makes ``workers=N`` cold starts cheap on
 big Cello circuits.  The blob envelope can also carry kernels directly
 (:func:`model_blob`'s ``kernels`` argument) for callers that ship models
 without per-payload metadata.
@@ -38,6 +38,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
+from ..errors import EngineError
 from ..stochastic.codegen import compile_kernel
 from ..stochastic.propensity import CompiledModel, kernel_source_for
 
@@ -314,17 +315,17 @@ def worker_model_from_blob(fingerprint: str, blob: bytes):
             _WORKER_MODELS[fingerprint] = known
             return known
     payload = pickle.loads(blob)
-    if isinstance(payload, _ModelBlob):
-        inner, legacy = payload.model_pickle, None
-        if payload.kernels:
-            with _WORKER_MODELS_LOCK:
-                for overrides, source in payload.kernels.items():
-                    _WORKER_KERNELS.setdefault((fingerprint, overrides), source)
-                while len(_WORKER_KERNELS) > _WORKER_KERNELS_MAX:
-                    _WORKER_KERNELS.pop(next(iter(_WORKER_KERNELS)))
-    else:
-        # Legacy raw-model blob (a plain pickle of the object itself).
-        inner, legacy = None, payload
+    if not isinstance(payload, _ModelBlob):
+        raise EngineError(
+            f"model blob for fingerprint {fingerprint!r} is a pickled "
+            f"{type(payload).__name__}, not a model envelope (see model_blob)",
+        )
+    if payload.kernels:
+        with _WORKER_MODELS_LOCK:
+            for overrides, source in payload.kernels.items():
+                _WORKER_KERNELS.setdefault((fingerprint, overrides), source)
+            while len(_WORKER_KERNELS) > _WORKER_KERNELS_MAX:
+                _WORKER_KERNELS.pop(next(iter(_WORKER_KERNELS)))
     with _WORKER_MODELS_LOCK:
         _WORKER_BLOBS_SEEN[seen_key] = True
         while len(_WORKER_BLOBS_SEEN) > _WORKER_BLOBS_SEEN_MAX:
@@ -334,7 +335,7 @@ def worker_model_from_blob(fingerprint: str, blob: bytes):
             _WORKER_MODELS.pop(fingerprint)
             _WORKER_MODELS[fingerprint] = known
             return known
-    model = pickle.loads(inner) if inner is not None else legacy
+    model = pickle.loads(payload.model_pickle)
     with _WORKER_MODELS_LOCK:
         while len(_WORKER_MODELS) >= _WORKER_MODELS_MAX:
             _WORKER_MODELS.pop(next(iter(_WORKER_MODELS)))

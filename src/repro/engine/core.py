@@ -32,9 +32,7 @@ bit-identical trajectories for the same job list.
 from __future__ import annotations
 
 import concurrent.futures
-import secrets
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
 from typing import (
     Any,
     Callable,
@@ -76,12 +74,10 @@ __all__ = [
     "submission_window",
     "job_payloads",
     "simulate_payload",
-    "BATCH_TRANSPORTS",
     "batch_job_groups",
     "batch_job_payloads",
     "simulate_batch_payload",
     "decode_batch_result",
-    "discard_batch_segment",
 ]
 
 #: Called after each completed run.  ``executor.map`` hooks receive
@@ -97,9 +93,7 @@ class BatchCacheStats:
     Each ``iter_jobs`` / ``run_jobs`` call accumulates into its own instance,
     so concurrent batches on a shared executor (e.g. several studies
     multiplexed over one pool by :func:`repro.engine.gather_studies`) cannot
-    clobber each other's statistics.  The executor-global
-    ``last_cache_hits`` / ``last_cache_misses`` attributes survive only as a
-    snapshot of the most recently *finished* batch.
+    clobber each other's statistics.
     """
 
     hits: int = 0
@@ -176,7 +170,6 @@ def iter_windowed(
     progress: Optional[ProgressHook] = None,
     items: Optional[Sequence[Any]] = None,
     weights: Optional[Sequence[int]] = None,
-    drain_on_close: bool = False,
 ) -> Iterator[Tuple[int, Any]]:
     """THE windowed submission loop, yielding ``(index, result)`` per payload.
 
@@ -193,18 +186,18 @@ def iter_windowed(
     batch payload carrying B replicates weighs B, so the in-flight bound
     stays "at most ``2 * capacity`` undelivered *runs*" regardless of how
     runs are packed into frames.  Submission stops while the summed weight of
-    pending-plus-buffered payloads meets the window (a single over-weight
-    payload still submits alone rather than deadlocking).
+    pending-plus-buffered payloads meets the window — unless fewer than
+    ``capacity`` payloads are undelivered: every parallel slot always gets a
+    payload, so batches that each outweigh the window still run side by side
+    instead of one at a time (the parent then holds at most ``capacity``
+    batches).  With unit weights the window is the only bound.
 
     Failure and abandonment semantics: a payload whose future raises
     propagates its exception to the consumer, and the ``finally`` below
     cancels every still-pending future — whether the loop ended by
     exhaustion, by a raising payload, or by the consumer closing the
     generator mid-stream, the backend is never left grinding through work
-    nobody will collect.  ``drain_on_close=True`` additionally *waits* for
-    futures that refused cancellation (they were already executing) before
-    returning — required when results own external resources (shared-memory
-    segments) that the caller sweeps up right after the loop ends.
+    nobody will collect.
     """
     payloads = list(payloads)
     total = len(payloads)
@@ -224,8 +217,11 @@ def iter_windowed(
         while next_submit < total or pending or buffered:
             # Capacity is re-read every round: a distributed backend's window
             # widens as workers join and narrows when they are lost.
-            window = submission_window(backend.capacity)
-            while next_submit < total and in_flight < window:
+            capacity = backend.capacity
+            window = submission_window(capacity)
+            while next_submit < total and (
+                in_flight < window or len(pending) + len(buffered) < capacity
+            ):
                 future = backend.submit(fn, payloads[next_submit])
                 pending[future] = next_submit
                 in_flight += weight[next_submit]
@@ -251,9 +247,19 @@ def iter_windowed(
                     yield next_yield, buffered.pop(next_yield)
                     next_yield += 1
     finally:
-        uncancellable = [future for future in pending if not future.cancel()]
-        if drain_on_close and uncancellable:
-            concurrent.futures.wait(uncancellable)
+        for future in pending:
+            future.cancel()
+
+
+def _require_picklable_seeds(jobs: Sequence[SimulationJob]) -> None:
+    """Reject live ``Generator`` seeds, which cannot cross a process boundary."""
+    for job in jobs:
+        if isinstance(job.seed, np.random.Generator):
+            raise EngineError(
+                "jobs dispatched to worker processes need picklable seeds "
+                "(None, int or SeedSequence), not a live Generator; fan the "
+                "root seed out with repro.stochastic.fan_out_seeds first",
+            )
 
 
 def job_payloads(jobs: Sequence[SimulationJob]) -> List[Dict[str, Any]]:
@@ -269,17 +275,12 @@ def job_payloads(jobs: Sequence[SimulationJob]) -> List[Dict[str, Any]]:
     its first job.  Pool workers and socket workers receive exactly this
     envelope, so both share the fingerprint seen-set fast path.
     """
+    _require_picklable_seeds(jobs)
     ship_kernels = default_backend() == BACKEND_CODEGEN
     blobs: Dict[int, Tuple[bytes, str]] = {}
     kernels: Dict[Tuple[int, Tuple], Any] = {}
     payloads = []
     for job in jobs:
-        if isinstance(job.seed, np.random.Generator):
-            raise EngineError(
-                "jobs dispatched to worker processes need picklable seeds "
-                "(None, int or SeedSequence), not a live Generator; fan the "
-                "root seed out with repro.stochastic.fan_out_seeds first",
-            )
         key = id(job.model)
         if key not in blobs:
             blobs[key] = model_blob(job.model)
@@ -355,12 +356,6 @@ def simulate_payload(payload: Dict[str, Any]) -> Tuple[Trajectory, bool]:
 # fanned out by the parent, so every replicate stays bit-identical to its
 # serial ``batch_size=1`` run.
 
-#: How a backend wants batch results returned.  ``"inline"`` — in-process
-#: objects (serial); ``"frame"`` — the binary frame as bytes riding the
-#: transport's existing result path (sockets); ``"shm"`` — the frame in a
-#: ``multiprocessing.shared_memory`` segment, name + size returned (pools).
-BATCH_TRANSPORTS = ("inline", "frame", "shm")
-
 
 def _batch_config_key(job: SimulationJob) -> Tuple:
     """Everything replicates must share to run in one lockstep batch."""
@@ -416,77 +411,18 @@ def batch_job_payloads(
     """One declarative batch payload per group (model blob + seed list).
 
     The payload is the single-job envelope of :func:`job_payloads` with the
-    scalar ``seed`` replaced by the group's ``seeds`` list plus the result
-    ``transport`` the backend wants; shared-memory transports pre-assign the
-    segment name here, in the parent, so an abandoned or failed batch can be
-    swept up by name no matter how far the worker got.
+    scalar ``seed`` replaced by the group's ``seeds`` list.  Every remote
+    backend returns a batch the same way — one binary trajectory frame inside
+    its ordinary result — so ``"frame"`` is the only ``transport``.
     """
-    if transport not in BATCH_TRANSPORTS:
+    if transport != "frame":
         raise EngineError(f"unknown batch transport {transport!r}")
-    for job in jobs:
-        if isinstance(job.seed, np.random.Generator):
-            raise EngineError(
-                "jobs dispatched to worker processes need picklable seeds "
-                "(None, int or SeedSequence), not a live Generator; fan the "
-                "root seed out with repro.stochastic.fan_out_seeds first",
-            )
+    _require_picklable_seeds(jobs)
     payloads = job_payloads([jobs[group[0]] for group in groups])
     for payload, group in zip(payloads, groups):
         del payload["seed"]
         payload["seeds"] = [jobs[index].seed for index in group]
-        payload["transport"] = transport
-        if transport == "shm":
-            payload["shm_name"] = "glt_" + secrets.token_hex(8)
     return payloads
-
-
-def _untrack_segment(segment) -> None:
-    """Forget a segment in this process's resource tracker (3.11 registers on
-    both create and attach; whoever is *not* responsible for the unlink must
-    unregister, or a clean exit would tear the segment down under the reader)."""
-    try:
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker already gone at shutdown
-        pass
-
-
-def _unlink_segment(segment) -> None:
-    """Close and remove a segment, leaving the resource tracker consistent."""
-    segment.close()
-    try:
-        segment.unlink()  # unregisters on success
-    except OSError:  # pragma: no cover - raced with another unlinker
-        _untrack_segment(segment)
-
-
-def _pack_batch_result(trajectories: List[Trajectory], payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker side: wrap a batch's trajectories for the requested transport.
-
-    Shared-memory packing degrades gracefully: if the segment cannot be
-    created (exhausted ``/dev/shm``, unsupported platform) the frame rides
-    the ordinary result path inline.  After a successful write the worker
-    unregisters the segment from *its* resource tracker — the parent owns the
-    unlink once it has decoded (or swept) the segment.
-    """
-    transport = payload.get("transport", "inline")
-    if transport == "inline":
-        return {"kind": "inline", "trajectories": trajectories}
-    frame = encode_trajectories(trajectories)
-    if transport == "shm":
-        name = payload.get("shm_name")
-        try:
-            segment = shared_memory.SharedMemory(name=name, create=True, size=len(frame))
-        except (OSError, ValueError):
-            return {"kind": "frame", "frame": frame}
-        try:
-            segment.buf[: len(frame)] = frame
-        except BaseException:
-            _unlink_segment(segment)
-            raise
-        segment.close()
-        _untrack_segment(segment)
-        return {"kind": "shm", "shm_name": name, "frame_bytes": len(frame)}
-    return {"kind": "frame", "frame": frame}
 
 
 def simulate_batch_payload(payload: Dict[str, Any]) -> Tuple[Dict[str, Any], bool]:
@@ -496,8 +432,8 @@ def simulate_batch_payload(payload: Dict[str, Any]) -> Tuple[Dict[str, Any], boo
     (:func:`repro.stochastic.batch.simulate_ssa_batch`); other simulators run
     their replicates sequentially inside the one dispatch — the dispatch and
     result-transport amortization still applies, only the stepping is not
-    vectorised.  Returns ``(packed_result, cache_hit)``; unpack with
-    :func:`decode_batch_result`.
+    vectorised.  Returns ``({"kind": "frame", "frame": bytes}, cache_hit)``;
+    unpack with :func:`decode_batch_result`.
     """
     fingerprint = payload["fingerprint"]
     model = worker_model_from_blob(fingerprint, payload["model_blob"])
@@ -513,43 +449,22 @@ def simulate_batch_payload(payload: Dict[str, Any]) -> Tuple[Dict[str, Any], boo
         trajectories = [
             simulate(compiled, payload["t_end"], rng=seed, **kwargs) for seed in seeds
         ]
-    return _pack_batch_result(trajectories, payload), cache_hit
+    return {"kind": "frame", "frame": encode_trajectories(trajectories)}, cache_hit
 
 
 def decode_batch_result(result: Dict[str, Any]) -> List[Trajectory]:
-    """Parent side: unpack a batch result, releasing its transport resources.
+    """Parent side: unpack a batch result into its trajectories.
 
-    For shared-memory results this attaches, copies the frame out, and
-    **unlinks** the segment — decode is the hand-off point of the segment
-    lifetime contract (worker creates, parent removes).
+    ``"frame"`` results come from remote workers; ``"inline"`` results are
+    the serial executor's in-process trajectory lists, which never cross a
+    process boundary and so are never encoded.
     """
     kind = result.get("kind")
     if kind == "inline":
         return result["trajectories"]
     if kind == "frame":
         return decode_trajectories(result["frame"])
-    if kind == "shm":
-        segment = shared_memory.SharedMemory(name=result["shm_name"])
-        try:
-            frame = bytes(segment.buf[: result["frame_bytes"]])
-        finally:
-            _unlink_segment(segment)
-        return decode_trajectories(frame)
     raise EngineError(f"unknown batch result kind {kind!r}")
-
-
-def discard_batch_segment(name: str) -> None:
-    """Best-effort sweep of one pre-assigned segment name (idempotent).
-
-    Used for payloads whose results were never decoded — a worker died
-    mid-batch, or the consumer abandoned the stream: if the worker got far
-    enough to create the segment, remove it; if not, there is nothing to do.
-    """
-    try:
-        segment = shared_memory.SharedMemory(name=name)
-    except (FileNotFoundError, OSError, ValueError):
-        return
-    _unlink_segment(segment)
 
 
 class BaseEnsembleExecutor:
@@ -573,11 +488,6 @@ class BaseEnsembleExecutor:
     supports_batch_stats = True
     #: This executor's ``iter_jobs`` / ``run_jobs`` accept ``batch_size``.
     supports_job_batching = True
-    #: How batch results travel back (one of :data:`BATCH_TRANSPORTS`).
-    #: ``"frame"`` — raw binary frame bytes on the existing result path — is
-    #: the safe default for any remote transport; pools override to ``"shm"``
-    #: and the in-process serial executor bypasses transport entirely.
-    batch_transport = "frame"
 
     # -- transport protocol (ExecutorBackend) — subclasses implement ---------------
     @property
@@ -638,16 +548,13 @@ class BaseEnsembleExecutor:
         ``fn(payload)`` returns ``(packed_result, cache_hit)`` where the
         packed result decodes through :func:`decode_batch_result` into one
         trajectory per job index in the matching group.  The default ships
-        :func:`simulate_batch_payload` envelopes over this backend's
-        ``batch_transport``; the serial executor overrides to run lockstep
-        batches in-process against the shared ``cache``.
+        :func:`simulate_batch_payload` envelopes, whose result is one binary
+        frame on this backend's ordinary result path; the serial executor
+        overrides to run lockstep batches in-process against the shared
+        ``cache``.
         """
         groups = batch_job_groups(jobs, batch_size)
-        payloads = batch_job_payloads(jobs, groups, transport=self.batch_transport)
-        return simulate_batch_payload, payloads, groups
-
-    def _record_last_stats(self, stats: BatchCacheStats) -> None:
-        """Snapshot hook for the legacy ``last_cache_hits/misses`` attributes."""
+        return simulate_batch_payload, batch_job_payloads(jobs, groups), groups
 
     def map(
         self,
@@ -701,10 +608,8 @@ class BaseEnsembleExecutor:
 
         Cache hits/misses accumulate into ``batch_stats`` (this batch's own
         counter, so concurrent batches on one shared executor never clobber
-        each other); when the batch finishes — or is abandoned via generator
-        ``close()`` — its totals are snapshotted through
-        :meth:`_record_last_stats`.  ``cache`` is used only by in-process
-        transports (remote workers keep their own caches).
+        each other).  ``cache`` is used only by in-process transports (remote
+        workers keep their own caches).
         """
         jobs = list(jobs)
         stats = batch_stats if batch_stats is not None else BatchCacheStats()
@@ -714,15 +619,9 @@ class BaseEnsembleExecutor:
         if size < 1:
             raise EngineError("batch_size must be a positive integer")
         if size > 1:
-            inner = self._iter_jobs_batched(jobs, cache, progress, ordered, stats, size)
+            yield from self._iter_jobs_batched(jobs, cache, progress, ordered, stats, size)
         else:
-            inner = self._iter_jobs_single(jobs, cache, progress, ordered, stats)
-        try:
-            yield from inner
-        finally:
-            # Legacy snapshot of the batch that finished (or was abandoned)
-            # last; concurrent batches should read their own ``batch_stats``.
-            self._record_last_stats(stats)
+            yield from self._iter_jobs_single(jobs, cache, progress, ordered, stats)
 
     def _iter_jobs_single(self, jobs, cache, progress, ordered, stats):
         """The one-payload-per-job path (``batch_size=1``; today's behaviour)."""
@@ -745,21 +644,9 @@ class BaseEnsembleExecutor:
         batch (its first replicate); the remaining ``B - 1`` replicates reuse
         that compiled model by construction and are recorded as hits, so
         ``hits + misses == len(jobs)`` holds exactly as at ``batch_size=1``.
-
-        Shared-memory hygiene: segment names are pre-assigned in the parent,
-        decode unlinks each segment, and the ``finally`` sweeps every payload
-        that was submitted but never decoded (worker death, abandoned
-        stream) — combined with ``drain_on_close`` there are no leaked
-        ``/dev/shm`` entries on any exit path.
         """
         fn, payloads, groups = self._batch_submissions(jobs, cache, batch_size)
         weights = [len(group) for group in groups]
-        shm_names = {
-            index: payload["shm_name"]
-            for index, payload in enumerate(payloads)
-            if isinstance(payload, dict) and payload.get("transport") == "shm"
-        }
-        decoded = set()
         hook = None
         if progress is not None:
             total_jobs = len(jobs)
@@ -769,34 +656,27 @@ class BaseEnsembleExecutor:
                 done_jobs[0] += len(group)
                 progress(done_jobs[0], total_jobs, jobs[group[-1]])
 
-        try:
-            for payload_index, (result, cache_hit) in iter_windowed(
-                self,
-                fn,
-                payloads,
-                ordered=ordered,
-                progress=hook,
-                items=groups,
-                weights=weights,
-                drain_on_close=bool(shm_names),
-            ):
-                group = groups[payload_index]
-                trajectories = decode_batch_result(result)
-                decoded.add(payload_index)
-                if len(trajectories) != len(group):
-                    raise EngineError(
-                        f"batch payload returned {len(trajectories)} trajectories "
-                        f"for {len(group)} jobs",
-                    )
-                stats.record(cache_hit)
-                for _ in range(len(group) - 1):
-                    stats.record(True)
-                for job_index, trajectory in zip(group, trajectories):
-                    yield job_index, trajectory
-        finally:
-            for payload_index, name in shm_names.items():
-                if payload_index not in decoded:
-                    discard_batch_segment(name)
+        for payload_index, (result, cache_hit) in iter_windowed(
+            self,
+            fn,
+            payloads,
+            ordered=ordered,
+            progress=hook,
+            items=groups,
+            weights=weights,
+        ):
+            group = groups[payload_index]
+            trajectories = decode_batch_result(result)
+            if len(trajectories) != len(group):
+                raise EngineError(
+                    f"batch payload returned {len(trajectories)} trajectories "
+                    f"for {len(group)} jobs",
+                )
+            stats.record(cache_hit)
+            for _ in range(len(group) - 1):
+                stats.record(True)
+            for job_index, trajectory in zip(group, trajectories):
+                yield job_index, trajectory
 
     def run_jobs(
         self,

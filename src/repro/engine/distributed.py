@@ -36,8 +36,7 @@ coordinator left with no workers and no way to get one fails the batch with
 Wire format: each frame is a 4-byte big-endian length followed by a pickled
 message dict — see :func:`send_message` / :func:`recv_message`, shared
 verbatim by :mod:`repro.engine.worker`.  Lockstep batches (``batch_size=B``)
-ride the same frames: the executor inherits ``batch_transport = "frame"``
-from the base, so a B-replicate result crosses the socket as one compact
+ride the same frames: a B-replicate result crosses the socket as one compact
 binary trajectory frame (raw little-endian float64 blocks plus a species
 table encoded once per batch, :func:`repro.stochastic.encode_trajectories`)
 inside the result message, instead of B pickled ``Trajectory`` objects.
@@ -99,7 +98,7 @@ from .auth import (
     resolve_key,
 )
 from .backoff import Backoff, BackoffPolicy
-from .core import BaseEnsembleExecutor, BatchCacheStats
+from .core import BaseEnsembleExecutor
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -374,8 +373,6 @@ class DistributedEnsembleExecutor(BaseEnsembleExecutor):
         self._requeues_total = 0
         self._links_dropped = 0
         self._tasks_completed = 0
-        self.last_cache_hits = 0
-        self.last_cache_misses = 0
         self._lifecycle_lock = threading.Lock()
         self._state = threading.Condition()
         self._open = False
@@ -630,10 +627,6 @@ class DistributedEnsembleExecutor(BaseEnsembleExecutor):
 
     # wait_any: the base's first-completion wait (reader threads resolve the
     # futures as result frames arrive).
-
-    def _record_last_stats(self, stats: BatchCacheStats) -> None:
-        self.last_cache_hits = stats.hits
-        self.last_cache_misses = stats.misses
 
     def _dispatch_loop(self) -> None:
         """Move queued tasks onto workers with free slots (single scheduler)."""

@@ -44,7 +44,6 @@ from .core import (
     BatchCacheStats,
     ProgressHook,
     batch_job_groups,
-    simulate_payload,
 )
 from .jobs import SimulationJob
 
@@ -55,10 +54,6 @@ __all__ = [
     "ProcessPoolEnsembleExecutor",
     "get_executor",
 ]
-
-#: Worker-side entry point, re-exported under its historical private name for
-#: callers that dispatched it to pools directly.
-_simulate_payload = simulate_payload
 
 
 class _DeferredCall(concurrent.futures.Future):
@@ -172,24 +167,17 @@ class ProcessPoolEnsembleExecutor(BaseEnsembleExecutor):
     One executor may serve several concurrent batches (e.g. independent
     studies multiplexed over one pool by :func:`repro.engine.gather_studies`):
     submission is thread-safe and each batch counts its own cache statistics
-    into the :class:`BatchCacheStats` it was given.  ``last_cache_hits`` /
-    ``last_cache_misses`` are kept as a snapshot of the most recently
-    *finished* batch (the parent cache is never involved in pool execution).
+    into the :class:`BatchCacheStats` it was given (the parent cache is never
+    involved in pool execution).  A batch result travels back through the
+    pool's result pipe as one binary trajectory frame.
     """
 
     name = "process-pool"
-    #: Batch results travel as binary frames in ``multiprocessing.shared_memory``
-    #: segments (worker creates and writes; parent decodes and unlinks), so a
-    #: B-replicate result costs the pool's pickle channel a ~100-byte
-    #: descriptor instead of B trajectory pickles.
-    batch_transport = "shm"
 
     def __init__(self, workers: int):
         if workers < 1:
             raise EngineError("a process-pool executor needs at least one worker")
         self.workers = int(workers)
-        self.last_cache_hits = 0
-        self.last_cache_misses = 0
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
         self._lifecycle_lock = threading.Lock()
 
@@ -224,13 +212,9 @@ class ProcessPoolEnsembleExecutor(BaseEnsembleExecutor):
     def submit(self, fn, payload) -> concurrent.futures.Future:
         return self.open()._pool.submit(fn, payload)
 
-    def _record_last_stats(self, stats: BatchCacheStats) -> None:
-        self.last_cache_hits = stats.hits
-        self.last_cache_misses = stats.misses
 
-
-def get_executor(jobs: int = 1):
-    """The executor for a ``jobs=N`` request: serial for 1, process pool for N>1."""
-    if jobs is None or jobs <= 1:
+def get_executor(workers: int = 1):
+    """The executor for a ``workers=N`` request: serial for 1, process pool for N>1."""
+    if workers is None or workers <= 1:
         return SerialExecutor()
-    return ProcessPoolEnsembleExecutor(jobs)
+    return ProcessPoolEnsembleExecutor(workers)

@@ -43,47 +43,18 @@ import dataclasses
 import hashlib
 import json
 import pickle
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from ..errors import EngineError
 from ..stochastic import canonical_simulator_name
 
-__all__ = ["STUDY_SPEC_SCHEMA", "StudySpec", "canonical_workers", "frozen_overrides"]
+__all__ = ["STUDY_SPEC_SCHEMA", "StudySpec", "frozen_overrides"]
 
 #: Version of the StudySpec wire schema.  Bump when a field is added,
 #: removed or changes meaning; :meth:`StudySpec.from_dict` rejects specs from
 #: a *newer* schema instead of silently dropping fields it does not know.
 STUDY_SPEC_SCHEMA = 1
-
-
-def canonical_workers(
-    workers: Optional[int],
-    jobs: Optional[int],
-    *,
-    default: int = 1,
-) -> int:
-    """Resolve the canonical ``workers`` value, honouring the ``jobs`` alias.
-
-    ``workers`` is the canonical name of the concurrency knob everywhere in
-    the package (it always meant the same thing as the CLI's ``--jobs``);
-    ``jobs=`` is kept as a deprecated alias so existing call sites keep
-    working, but it warns and may not disagree with an explicit ``workers=``.
-    """
-    if jobs is not None:
-        warnings.warn(
-            "the 'jobs' keyword is deprecated; use 'workers' (same meaning)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if workers is not None and int(workers) != int(jobs):
-            raise EngineError(
-                "pass either workers= or the deprecated jobs= alias, not "
-                f"conflicting values of both (workers={workers!r}, jobs={jobs!r})",
-            )
-        return int(jobs)
-    return default if workers is None else int(workers)
 
 
 def frozen_overrides(

@@ -59,10 +59,15 @@ class StudyRecord:
     :class:`~repro.engine.StudySpec` replicate study) or ``"search"`` (a
     :class:`~repro.search.SearchSpec` design-space search) — both kinds share
     one registry, one in-flight bound and one result cache.
+
+    ``spec`` is the request's canonical ``to_dict()`` form, not the live spec
+    object: the registry keeps every record, and a live spec memoizes its
+    resolved circuit (model, parts, SBOL), which would make every request —
+    cache hits included — pin tens of kilobytes for the service's lifetime.
     """
 
     study_id: str
-    spec: Union[StudySpec, SearchSpec]
+    spec: Dict[str, Any]
     cache_key: Optional[str]
     kind: str = "study"
     status: str = "running"
@@ -88,7 +93,7 @@ class StudyRecord:
             "cached": self.cached,
             "coalesced": self.coalesced,
             "cache_key": self.cache_key,
-            "spec": self.spec.to_dict(),
+            "spec": self.spec,
         }
         if self.wall_seconds is not None:
             body["wall_seconds"] = self.wall_seconds
@@ -302,7 +307,7 @@ class AnalysisService:
                 # Unseeded specs have no stable key; track them under their id
                 # so they still count against the in-flight bound.
                 self._inflight_by_key[record.study_id] = record
-        asyncio.ensure_future(self._execute(record))
+        asyncio.ensure_future(self._execute(record, spec))
         return record
 
     def _new_record(
@@ -316,7 +321,7 @@ class AnalysisService:
     ) -> StudyRecord:
         record = StudyRecord(
             study_id=f"{kind}-{next(self._ids):06d}",
-            spec=spec,
+            spec=spec.to_dict(),
             cache_key=key,
             kind=kind,
             status=status,
@@ -327,11 +332,11 @@ class AnalysisService:
         self._submitted += 1
         return record
 
-    async def _execute(self, record: StudyRecord) -> None:
+    async def _execute(self, record: StudyRecord, spec: Union[StudySpec, SearchSpec]) -> None:
         started = time.monotonic()
         runner = self._search_runner if record.kind == "search" else self._runner
         try:
-            payload = await asyncio.to_thread(runner, record.spec, self.executor)
+            payload = await asyncio.to_thread(runner, spec, self.executor)
         except WorkerConnectionError as error:
             # Losing the fabric is the *server's* transient problem: tag it so
             # the HTTP layer answers 503 + Retry-After rather than a 500.

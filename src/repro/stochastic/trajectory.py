@@ -342,6 +342,20 @@ class _FrameReader:
         return np.frombuffer(raw, dtype="<f8", count=count).astype(np.float64)
 
 
+def _same_grid_as(first: Trajectory, data: np.ndarray) -> Trajectory:
+    """A batch sibling of ``first``: same grid and species, fresh ``data``.
+
+    Skips ``__post_init__``, whose checks ``first`` already passed for the
+    shared grid and species table; ``data`` is an owned C-contiguous float64
+    block already shaped ``(len(times), len(species))``.
+    """
+    trajectory = Trajectory.__new__(Trajectory)
+    trajectory.times = first.times
+    trajectory.species = list(first.species)
+    trajectory.data = data
+    return trajectory
+
+
 def decode_trajectories(frame: bytes) -> List[Trajectory]:
     """Decode a frame produced by :func:`encode_trajectories`.
 
@@ -366,7 +380,10 @@ def decode_trajectories(frame: bytes) -> List[Trajectory]:
         times = reader.f64_block(n_times)
         for _ in range(n_traj):
             data = reader.f64_block(n_times * n_species).reshape(n_times, n_species)
-            trajectories.append(Trajectory(times, species, data))
+            if trajectories:
+                trajectories.append(_same_grid_as(trajectories[0], data))
+            else:
+                trajectories.append(Trajectory(times, species, data))
     else:
         for _ in range(n_traj):
             n_times = reader.u32()

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 
 from ..engine.api import run_ensemble
 from ..engine.jobs import SimulationJob
-from ..engine.spec import canonical_workers
 from ..errors import SimulationError, ThresholdError
 from ..sbml.model import Model
 from ..stochastic import canonical_simulator_name
@@ -81,10 +80,8 @@ def settled_output_levels(
     simulator: str = "ode",
     rng: RandomState = None,
     tail_fraction: float = 0.25,
-    workers: Optional[int] = None,
+    workers: int = 1,
     executor=None,
-    *,
-    jobs: Optional[int] = None,
 ) -> Dict[str, float]:
     """Settled output level for every input combination.
 
@@ -93,13 +90,12 @@ def settled_output_levels(
     mean over the last ``tail_fraction`` of the run (for the ODE simulator
     this is simply the final value region).  The per-combination settling
     runs execute as one ensemble-engine batch with one independent seed per
-    combination; ``workers=N`` spreads them over worker processes (``jobs=``
-    is a deprecated alias).  Each run is reduced to its tail mean as it
-    completes (the trace itself is dropped), and an opened ``executor`` —
-    e.g. the one a propagation-delay analysis holds for its transition batch
-    — is reused with its worker caches warm.
+    combination; ``workers=N`` spreads them over worker processes.  Each
+    run is reduced to its tail mean as it completes (the trace itself is
+    dropped), and an opened ``executor`` — e.g. the one a propagation-delay
+    analysis holds for its transition batch — is reused with its worker
+    caches warm.
     """
-    workers = canonical_workers(workers, jobs, default=1)
     try:
         simulator = canonical_simulator_name(simulator)
     except SimulationError as error:
@@ -152,10 +148,8 @@ def estimate_threshold(
     settle_time: float = 300.0,
     simulator: str = "ode",
     rng: RandomState = None,
-    workers: Optional[int] = None,
+    workers: int = 1,
     executor=None,
-    *,
-    jobs: Optional[int] = None,
 ) -> ThresholdAnalysis:
     """Estimate the digital threshold of the output species.
 
@@ -174,7 +168,7 @@ def estimate_threshold(
         settle_time=settle_time,
         simulator=simulator,
         rng=rng,
-        workers=canonical_workers(workers, jobs, default=1),
+        workers=workers,
         executor=executor,
     )
     values = sorted(levels.values())

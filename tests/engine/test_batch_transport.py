@@ -1,16 +1,13 @@
-"""Batch grouping, the batch transports, and the shared-memory lifetime contract.
+"""Batch grouping and the one batch transport: a binary trajectory frame.
 
 The engine-level half of the lockstep-batching tests: how jobs pack into
-groups, how batch results cross each transport (inline objects, binary frame
-bytes, shared-memory segments), and — the part that can silently rot a
-machine — that ``/dev/shm`` holds no leaked ``glt_*`` segments after decode,
-after an abandoned stream, or after a worker dies mid-batch.
+groups, and how a batch result comes back — one binary frame inside the
+backend's ordinary result, whether that is the pool's result pipe or a TCP
+message — bit-identical to the serial baseline on every exit path.
 """
 
+import concurrent.futures
 import dataclasses
-import glob
-import multiprocessing
-import os
 import threading
 import time
 
@@ -29,7 +26,7 @@ from repro.engine import (
 from repro.engine.core import (
     batch_job_payloads,
     decode_batch_result,
-    discard_batch_segment,
+    iter_windowed,
     simulate_batch_payload,
 )
 from repro.engine.jobs import SimulationJob
@@ -37,8 +34,10 @@ from repro.errors import EngineError
 from repro.stochastic.events import InputSchedule
 
 
-def _shm_segments():
-    return sorted(os.path.basename(p) for p in glob.glob("/dev/shm/glt_*"))
+def _assert_matches(result, baseline):
+    for index, (_, expected) in enumerate(baseline):
+        assert np.array_equal(result.trajectory(index).times, expected.times)
+        assert np.array_equal(result.trajectory(index).data, expected.data)
 
 
 @pytest.fixture(autouse=True)
@@ -105,20 +104,22 @@ class TestGrouping:
         with pytest.raises(EngineError, match="picklable seeds"):
             batch_job_payloads(jobs, groups, transport="frame")
 
-    def test_unknown_transport_rejected(self, template):
+    @pytest.mark.parametrize("transport", ["carrier-pigeon", "shm", "inline"])
+    def test_unknown_transport_rejected(self, template, transport):
         jobs = replicate_jobs(template, 2, seed=1)
         with pytest.raises(EngineError, match="transport"):
-            batch_job_payloads(jobs, batch_job_groups(jobs, 2), transport="carrier-pigeon")
+            batch_job_payloads(jobs, batch_job_groups(jobs, 2), transport=transport)
 
 
-class TestTransports:
-    @pytest.mark.parametrize("transport", ["inline", "frame", "shm"])
-    def test_round_trip_matches_serial_baseline(self, template, transport):
+class TestFrameTransport:
+    def test_round_trip_matches_serial_baseline(self, template):
         jobs = replicate_jobs(template, 3, seed=17)
         baseline = run_ensemble(jobs, workers=1)
-        payloads = batch_job_payloads(jobs, batch_job_groups(jobs, 3), transport=transport)
+        payloads = batch_job_payloads(jobs, batch_job_groups(jobs, 3), transport="frame")
         assert len(payloads) == 1
         packed, cache_hit = simulate_batch_payload(payloads[0])
+        assert packed["kind"] == "frame"
+        assert isinstance(packed["frame"], bytes)
         trajectories = decode_batch_result(packed)
         assert isinstance(cache_hit, bool)
         assert len(trajectories) == 3
@@ -126,80 +127,91 @@ class TestTransports:
             expected = baseline.trajectory(index)
             assert np.array_equal(trajectory.times, expected.times)
             assert np.array_equal(trajectory.data, expected.data)
-        # Whatever the transport allocated, decode released it.
-        assert _shm_segments() == []
 
     def test_unknown_result_kind_rejected(self):
         with pytest.raises(EngineError, match="kind"):
             decode_batch_result({"kind": "telegram"})
 
 
-class TestSharedMemoryLifetime:
-    def test_decode_unlinks_the_segment(self, template):
-        jobs = replicate_jobs(template, 2, seed=5)
-        payloads = batch_job_payloads(jobs, batch_job_groups(jobs, 2), transport="shm")
-        packed, _ = simulate_batch_payload(payloads[0])
-        assert packed["kind"] == "shm"
-        assert packed["shm_name"] in _shm_segments()
-        decode_batch_result(packed)
-        assert _shm_segments() == []
+class TestPoolBatches:
+    def test_pool_returns_one_frame_per_batch(self, template):
+        jobs = replicate_jobs(template, 4, seed=5)
+        payloads = batch_job_payloads(jobs, batch_job_groups(jobs, 2))
+        with ProcessPoolEnsembleExecutor(2) as executor:
+            results = executor.map(simulate_batch_payload, payloads)
+        assert [packed["kind"] for packed, _ in results] == ["frame", "frame"]
+        assert sum(len(decode_batch_result(packed)) for packed, _ in results) == 4
 
-    def test_discard_sweeps_an_undecoded_segment(self, template):
-        """The abandoned-batch path: the worker wrote its segment but no one
-        ever decoded the result — the sweep must remove it by name."""
-        jobs = replicate_jobs(template, 2, seed=5)
-        payloads = batch_job_payloads(jobs, batch_job_groups(jobs, 2), transport="shm")
-        packed, _ = simulate_batch_payload(payloads[0])
-        assert _shm_segments() == [packed["shm_name"]]
-        discard_batch_segment(payloads[0]["shm_name"])
-        assert _shm_segments() == []
+    def test_exhausted_pool_run_matches_serial(self, template):
+        jobs = replicate_jobs(template, 5, seed=3)
+        baseline = run_ensemble(jobs, workers=1)
+        with ProcessPoolEnsembleExecutor(2) as executor:
+            result = run_ensemble(jobs, executor=executor, batch_size=2)
+        _assert_matches(result, baseline)
 
-    def test_discard_is_idempotent_for_never_created_segments(self):
-        discard_batch_segment("glt_never_created")
-        discard_batch_segment("glt_never_created")
-
-    def test_worker_death_mid_batch_leaves_no_segment_behind(self, template):
-        """A worker that dies *after* writing its segment but before the
-        parent decodes: the parent's by-name sweep is all the cleanup there
-        is, and it must suffice — no ``/dev/shm`` entry may outlive it."""
-        jobs = replicate_jobs(template, 2, seed=5)
-        payloads = batch_job_payloads(jobs, batch_job_groups(jobs, 2), transport="shm")
-
-        context = multiprocessing.get_context("spawn")
-        worker = context.Process(target=_run_payload_then_die, args=(payloads[0],))
-        worker.start()
-        worker.join(timeout=120)
-        assert worker.exitcode == 0
-        # The worker hard-exited without its resource tracker unlinking the
-        # segment (it unregistered after writing — the parent owns the unlink).
-        assert _shm_segments() == [payloads[0]["shm_name"]]
-        discard_batch_segment(payloads[0]["shm_name"])
-        assert _shm_segments() == []
-
-    def test_abandoned_pool_stream_sweeps_its_segments(self, template):
-        """Breaking out of a batched pool stream must leave ``/dev/shm`` clean:
-        undecoded in-flight batches are swept when the stream closes."""
+    def test_abandoned_pool_stream_leaves_the_pool_usable(self, template):
+        """Breaking out of a batched pool stream cancels what it can and
+        drops the rest; the same pool then serves a full batch bit-identically."""
         jobs = replicate_jobs(template, 8, seed=9)
+        baseline = run_ensemble(jobs, workers=1)
         with ProcessPoolEnsembleExecutor(2) as executor:
             stream = iter_ensemble(jobs, executor=executor, batch_size=2, ordered=True)
             for index, _, _ in stream:
                 break  # leaves ~3 batches undecoded or in flight
             stream.close()
-            assert _shm_segments() == []
+            result = run_ensemble(jobs, executor=executor, batch_size=2)
+        _assert_matches(result, baseline)
 
-    def test_exhausted_pool_run_leaves_no_segments(self, template):
-        jobs = replicate_jobs(template, 5, seed=3)
-        with ProcessPoolEnsembleExecutor(2) as executor:
-            run_ensemble(jobs, executor=executor, batch_size=2)
-        assert _shm_segments() == []
+
+class _ManualBackend:
+    """A backend whose futures finish one at a time, oldest first, only when
+    the core waits — so ``peak`` is the most payloads ever in flight at once."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.unfinished = []
+        self.peak = 0
+
+    def open(self):
+        pass
+
+    def close(self):
+        pass
+
+    def submit(self, fn, payload):
+        future = concurrent.futures.Future()
+        future.set_running_or_notify_cancel()
+        self.unfinished.append((future, fn, payload))
+        self.peak = max(self.peak, len(self.unfinished))
+        return future
+
+    def wait_any(self, pending):
+        future, fn, payload = self.unfinished.pop(0)
+        future.set_result(fn(payload))
+        return [future]
+
+
+class TestWindowing:
+    def test_batches_heavier_than_the_window_fill_every_slot(self):
+        """Each 32-replicate batch alone outweighs the 2 * capacity window;
+        both slots must still get one, not run batches one at a time."""
+        backend = _ManualBackend(capacity=2)
+        delivered = list(iter_windowed(backend, str, range(6), weights=[32] * 6))
+        assert delivered == [(index, str(index)) for index in range(6)]
+        assert backend.peak == 2
+
+    def test_unit_weights_keep_the_two_times_capacity_window(self):
+        backend = _ManualBackend(capacity=2)
+        delivered = list(iter_windowed(backend, str, range(12)))
+        assert [index for index, _ in delivered] == list(range(12))
+        assert backend.peak == 4
 
 
 class TestDistributedBatchFaults:
     def test_worker_death_mid_batch_frame_requeues_bit_identical(self, template):
-        """Kill a fabric worker while lockstep batches (frame transport) are
-        in flight: the coordinator requeues the dead worker's batches on the
-        survivor, the study comes out bit-identical to serial, and no
-        ``/dev/shm`` segment outlives the run."""
+        """Kill a fabric worker while lockstep batches are in flight: the
+        coordinator requeues the dead worker's batches on the survivor, and
+        the study comes out bit-identical to serial."""
         jobs = replicate_jobs(template, 12, seed=33)
         baseline = run_ensemble(jobs, workers=1)
         with DistributedEnsembleExecutor.loopback(2) as executor:
@@ -213,18 +225,7 @@ class TestDistributedBatchFaults:
             threading.Thread(target=_kill_soon, daemon=True).start()
             result = run_ensemble(jobs, executor=executor, batch_size=3)
             assert victim.poll() is not None, "the victim outlived the batch"
-        for index, (_, expected) in enumerate(baseline):
-            assert np.array_equal(result.trajectory(index).times, expected.times)
-            assert np.array_equal(result.trajectory(index).data, expected.data)
-        assert _shm_segments() == []
-
-
-def _run_payload_then_die(payload):
-    """Subprocess body: execute the batch, then exit without any cleanup —
-    ``os._exit`` skips atexit hooks, finalizers and the resource tracker's
-    orderly shutdown, approximating a crash right after the result was ready."""
-    simulate_batch_payload(payload)
-    os._exit(0)
+        _assert_matches(result, baseline)
 
 
 class TestStatisticsInvariant:

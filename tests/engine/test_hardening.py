@@ -141,12 +141,15 @@ class TestPerIterationBatchStats:
         assert second.stats.cache_misses == 0
         assert second.stats.cache_hits == 3
 
-    def test_legacy_snapshot_reflects_last_finished_batch(self, ode_job):
+    def test_pool_streams_keep_their_own_stats(self, ode_job):
         with ProcessPoolEnsembleExecutor(1) as executor:
-            list(iter_ensemble(replicate_jobs(ode_job, 2, seed=1), executor=executor))
-            list(iter_ensemble(replicate_jobs(ode_job, 3, seed=2), executor=executor))
-            assert executor.last_cache_hits == 3
-            assert executor.last_cache_misses == 0
+            first = iter_ensemble(replicate_jobs(ode_job, 2, seed=1), executor=executor)
+            list(first)
+            second = iter_ensemble(replicate_jobs(ode_job, 3, seed=2), executor=executor)
+            list(second)
+        assert first.stats.cache_hits + first.stats.cache_misses == 2
+        assert second.stats.cache_hits == 3
+        assert second.stats.cache_misses == 0
 
 
 class TestTransformShape:

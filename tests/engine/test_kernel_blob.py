@@ -15,6 +15,7 @@ from repro.engine.cache import (
     worker_compiled,
     worker_model_from_blob,
 )
+from repro.errors import EngineError
 from repro.stochastic import kernel_source_for
 from repro.stochastic.codegen import KERNEL_FORMAT
 
@@ -59,11 +60,11 @@ class TestBlobEnvelope:
         # Same fingerprint again: the memoized instance comes back.
         assert worker_model_from_blob(fingerprint, blob) is restored
 
-    def test_legacy_raw_pickle_blob_still_accepted(self):
+    def test_legacy_raw_pickle_blob_rejected(self):
         model = _fresh_model("blob_legacy")
         raw = pickle.dumps(model)
-        restored = worker_model_from_blob(model_fingerprint(model), raw)
-        assert restored.sid == model.sid
+        with pytest.raises(EngineError, match="not a model envelope"):
+            worker_model_from_blob(model_fingerprint(model), raw)
 
 
 class TestWorkerKernelExec:

@@ -184,6 +184,18 @@ class TestReducedResults:
         assert result.tags() == [None, None]  # job metadata stays available
 
 
+class _StatsRecordingPool(ProcessPoolEnsembleExecutor):
+    """A pool that keeps the per-batch cache counters the engine hands it."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.batch_stats = []
+
+    def iter_jobs(self, jobs, *args, batch_stats=None, **kwargs):
+        self.batch_stats.append(batch_stats)
+        return super().iter_jobs(jobs, *args, batch_stats=batch_stats, **kwargs)
+
+
 class TestExecutorLifecycle:
     def test_serial_executor_is_a_context_manager(self):
         with SerialExecutor() as executor:
@@ -254,7 +266,7 @@ class TestExecutorLifecycle:
         so the transition batch runs entirely on warm worker caches."""
         from repro.vlab import estimate_propagation_delay
 
-        with ProcessPoolEnsembleExecutor(1) as executor:
+        with _StatsRecordingPool(1) as executor:
             analysis = estimate_propagation_delay(
                 and_circuit.model,
                 and_circuit.inputs,
@@ -270,8 +282,9 @@ class TestExecutorLifecycle:
         assert analysis.delays
         # Worker-side statistics of the *last* batch (the transitions): the
         # settle batch already compiled the model in the pool's single worker.
-        assert executor.last_cache_misses == 0
-        assert executor.last_cache_hits == len(analysis.delays)
+        _settle, transitions = executor.batch_stats
+        assert transitions.misses == 0
+        assert transitions.hits == len(analysis.delays)
 
     def test_propagation_delay_matches_serial_with_shared_pool(self, and_circuit):
         from repro.vlab import estimate_propagation_delay
@@ -286,7 +299,7 @@ class TestExecutorLifecycle:
             rng=11,
         )
         serial = estimate_propagation_delay(and_circuit.model, **kwargs)
-        pooled = estimate_propagation_delay(and_circuit.model, **kwargs, jobs=2)
+        pooled = estimate_propagation_delay(and_circuit.model, **kwargs, workers=2)
         assert serial.delays == pooled.delays
 
     def test_replicate_study_accepts_shared_executor(self, and_circuit):

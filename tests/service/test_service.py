@@ -10,14 +10,16 @@ pins the acceptance criteria: a served study is bit-identical to a direct
 """
 
 import asyncio
+import gc
 import http.client
 import json
 import threading
+import tracemalloc
 
 import pytest
 
 from repro.analysis import run_replicate_study
-from repro.engine import StudySpec, WorkerConnectionError
+from repro.engine import SerialExecutor, StudySpec, WorkerConnectionError
 from repro.errors import EngineError
 from repro.search import SearchSpec, run_design_search
 from repro.service import AnalysisService, ResultCache, ServiceServer
@@ -378,6 +380,45 @@ class TestSearchSubmission:
             AnalysisService(max_search_replicates=0)
         service = AnalysisService(runner=_StubRunner(), max_search_replicates=123)
         assert service.stats()["limits"]["max_search_replicates"] == 123
+
+
+class TestRecordMemory:
+    def test_cache_hit_records_do_not_pin_resolved_circuits(self):
+        """The registry keeps every record; a record must keep only its
+        response, not the live spec with its memoized circuit (~33 KB)."""
+        requests = 200
+
+        async def _go():
+            service = AnalysisService(executor=SerialExecutor())
+            spec = StudySpec(circuit="and", n_replicates=2, hold_time=20.0, seed=3)
+            service.cache.put(spec.cache_key(), {"recovery_rate": 1.0})
+            body = json.dumps(spec.to_dict())
+            for _ in range(20):  # warm every process-wide memo first
+                assert (await service.submit(body)).cached
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for _ in range(requests):
+                    assert (await service.submit(body)).cached
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+
+        kept = asyncio.run(_go()) / requests
+        assert kept <= 4096, f"{kept:.0f} bytes kept per cache-hit request"
+
+    def test_record_response_carries_the_canonical_spec(self):
+        async def _go():
+            service = AnalysisService(runner=_StubRunner())
+            record = await service.submit(_spec())
+            await record.done_event.wait()
+            return record
+
+        record = asyncio.run(_go())
+        assert record.spec == _spec().to_dict()
+        assert record.to_response()["spec"] == _spec().to_dict()
 
 
 def _request(port, method, path, body=None):

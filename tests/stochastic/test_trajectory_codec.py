@@ -52,6 +52,15 @@ class TestRoundTrip:
         for original, copy in zip(batch, decoded):
             _assert_bitwise_equal(copy, original)
 
+    def test_shared_grid_siblings_own_their_data(self):
+        grid = np.arange(5.0)
+        batch = [Trajectory(grid, ["A"], np.full((5, 1), float(k))) for k in range(3)]
+        decoded = decode_trajectories(encode_trajectories(batch))
+        decoded[1].data[0, 0] = -1.0
+        decoded[1].species.append("B")
+        assert decoded[2].data[0, 0] == 2.0
+        assert decoded[2].species == ["A"]
+
     def test_single_sample_trajectory_round_trips(self):
         decoded = decode_trajectories(encode_trajectories([_trajectory(n_times=1)]))
         assert decoded[0].data.shape == (1, 2)
@@ -121,6 +130,15 @@ class TestRejection:
         frame = encode_trajectories([_trajectory()])
         with pytest.raises(SimulationError):
             decode_trajectories(frame[:keep])
+
+    def test_non_increasing_shared_grid_rejected(self):
+        grid = np.arange(5.0)
+        batch = [Trajectory(grid, ["A"], np.full((5, 1), 7.0 + k)) for k in range(2)]
+        frame = encode_trajectories(batch)
+        start = frame.index(grid.astype("<f8").tobytes())
+        forged = frame[:start] + grid[::-1].astype("<f8").tobytes() + frame[start + 40 :]
+        with pytest.raises(SimulationError, match="strictly increasing"):
+            decode_trajectories(forged)
 
     def test_trailing_bytes_rejected(self):
         frame = encode_trajectories([_trajectory()])

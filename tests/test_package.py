@@ -51,7 +51,8 @@ class TestPublicApi:
                 assert hasattr(module, name), f"{module.__name__}.{name} missing"
 
     def test_all_matches_readme_public_surface(self):
-        """The README's "Public surface" block IS repro.__all__, exactly.
+        """The README's "Public surface" blocks ARE repro.__all__ and
+        repro.engine.__all__, exactly.
 
         A name exported but undocumented (or documented but not exported)
         fails here, so the README cannot drift from the package.
@@ -59,23 +60,29 @@ class TestPublicApi:
         import re
         from pathlib import Path
 
+        import repro.engine
+
         readme = Path(__file__).resolve().parent.parent / "README.md"
         text = readme.read_text(encoding="utf-8")
-        match = re.search(r"## Public surface.*?```text\n(.*?)```", text, re.DOTALL)
-        assert match, "README.md must keep a '## Public surface' section with a text block"
-        documented = set(match.group(1).split())
-        exported = set(repro.__all__)
-        assert documented == exported, (
-            f"README but not exported: {sorted(documented - exported)}; "
-            f"exported but not in README: {sorted(exported - documented)}"
-        )
+        section = re.search(r"## Public surface(.*?)\n## ", text, re.DOTALL)
+        assert section, "README.md must keep a '## Public surface' section"
+        blocks = re.findall(r"```text\n(.*?)```", section.group(1), re.DOTALL)
+        assert len(blocks) == 2, "the section documents repro and repro.engine, in that order"
+        for block, module in zip(blocks, (repro, repro.engine)):
+            documented = set(block.split())
+            exported = set(module.__all__)
+            assert documented == exported, (
+                f"{module.__name__}: README but not exported: "
+                f"{sorted(documented - exported)}; exported but not in README: "
+                f"{sorted(exported - documented)}"
+            )
 
     def test_service_entry_points_exported(self):
         import repro.engine
 
         for name in ("StudySpec", "run_replicate_study", "serve", "AnalysisService"):
             assert name in repro.__all__
-        for name in ("StudySpec", "STUDY_SPEC_SCHEMA", "canonical_workers"):
+        for name in ("StudySpec", "STUDY_SPEC_SCHEMA"):
             assert name in repro.engine.__all__
 
 
